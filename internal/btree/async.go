@@ -30,7 +30,8 @@ import (
 // key's subtree is unowned or owned by the caller, fn and done run inline
 // and ExecAtAsync returns only after both — the aligned path is exactly
 // ExecAt plus one function call. A foreign subtree without an async hook
-// (blocking-ships configuration) falls back to the parked-sender path.
+// (its owner offers only blocking ships) falls back to the parked-sender
+// path.
 func (pt *PartitionedTree) ExecAtAsync(caller *Owner, key int64, home ContExec, fn func(tok *Owner), done func()) {
 	for attempt := 0; ; attempt++ {
 		pt.mu.RLock()
@@ -114,8 +115,8 @@ func (pt *PartitionedTree) AscendRangeAsync(caller *Owner, lo, hi int64, home Co
 		execAsync := st.execAsync
 		pt.mu.RUnlock()
 		if execAsync == nil {
-			// Blocking-ships configuration: finish the rest of the walk on
-			// the parked-sender path.
+			// The owner offers only blocking ships: finish the rest of the
+			// walk on the parked-sender path.
 			pt.ascendAs(caller, cur, hi, fn)
 			done()
 			return

@@ -175,8 +175,7 @@ func TestAscendRangeAsyncMixedOwnership(t *testing.T) {
 }
 
 // TestExecAtAsyncNoHookFallsBack: a claim without an async hook keeps
-// the blocking path working under ExecAtAsync (the BlockingShips
-// configuration).
+// the blocking path working under ExecAtAsync.
 func TestExecAtAsyncNoHookFallsBack(t *testing.T) {
 	pt := NewPartitioned(nil)
 	for i := int64(0); i < 100; i++ {

@@ -542,7 +542,7 @@ func (pt *PartitionedTree) Release() {
 // overlaps are physically extracted into fresh subtrees. Unowned subtrees
 // in the interval stay shared (nothing to hand over). Must be called on
 // the owning worker's goroutine, so no latch-free access can be in
-// flight. newAsync may be nil (blocking-ships configuration).
+// flight. newAsync may be nil (an owner offering only blocking ships).
 func (pt *PartitionedTree) MoveRange(caller *Owner, lo, hi int64, newOwner *Owner, newExec OwnerExec, newAsync OwnerExecAsync) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -588,7 +588,8 @@ func (pt *PartitionedTree) MoveRange(caller *Owner, lo, hi int64, newOwner *Owne
 // ReassignOwner points every subtree owned by from at to (merge
 // evacuation: the adopting worker takes the retiring worker's subtrees
 // wholesale, no data movement). Must be called on the retiring owner's
-// goroutine. execAsync may be nil (blocking-ships configuration).
+// goroutine. execAsync may be nil (an owner offering only blocking
+// ships).
 func (pt *PartitionedTree) ReassignOwner(from, to *Owner, exec OwnerExec, execAsync OwnerExecAsync) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()

@@ -9,10 +9,10 @@ import (
 	"dora/internal/xct"
 )
 
-// Continuation-passing ships (the default execution model; the blocking
-// baseline remains selectable with Config.BlockingShips).
+// Continuation-passing ships: the execution model of every action
+// body and cross-partition access-path operation.
 //
-// A cross-partition operation no longer parks its sender for the round
+// A cross-partition operation does not park its sender for the round
 // trip. The sender enqueues a contMsg — the operation plus a
 // continuation plus the hop chain — on the owner's inbox and immediately
 // returns to draining its own queue. The owner runs the operation on its
@@ -25,12 +25,13 @@ import (
 //
 // Because no sender is ever parked, arbitrary action bodies are
 // deadlock-safe by construction: a cyclic ship graph round-trips
-// messages instead of wedging workers, which retires the debug-mode
-// cycle detector's fail-fast job (it still diagnoses cycles, see
-// shipcheck.go). It also changes the rebalance interplay: a worker with
-// a suspended action keeps processing split/evacuate messages, so
-// repartitioning no longer relies on senders being parked — continuation
-// delivery follows the forwarding chain a merge leaves behind.
+// messages instead of wedging workers, so the debug-mode cycle detector
+// only diagnoses such cycles (shipcheck.go). It also shapes the
+// rebalance interplay: a worker with a suspended action keeps
+// processing split/evacuate messages, and continuation delivery follows
+// the forwarding chain a merge leaves behind. The parked-sender ship
+// (ownerExec, ExecOnOwner) remains for callers that are not partition
+// workers, such as the maintenance daemon.
 
 // contReply is the completion side shared by every continuation ship:
 // k(ok) is invoked exactly once, delivered through home (the sender's
@@ -119,16 +120,6 @@ func (p *partition) ownerExecAsync() btree.OwnerExecAsync {
 		}
 		return p.in.pushChecked(m)
 	}
-}
-
-// asyncHookFor returns the async owner-exec hook for partition q, or nil
-// in the blocking-ships configuration (no hook installed means the
-// btree layer falls back to the parked-sender path).
-func (e *Dora) asyncHookFor(q *partition) btree.OwnerExecAsync {
-	if e.cfg.BlockingShips {
-		return nil
-	}
-	return q.ownerExecAsync()
 }
 
 // actionHost implements xct.AsyncHost for one action execution: the

@@ -15,73 +15,81 @@ func mkMsg(txnID uint64, mode xct.Mode, claim bool) *actionMsg {
 	}
 }
 
-// park queues am as a waiter on key (the park position acquire would
-// have recorded).
-func park(lt lockTable, key int64, am *actionMsg) {
+// grant attempts a point lock on key for txn.
+func grant(lt *hierLockTable, key int64, txn uint64, mode xct.Mode) bool {
+	return lt.acquire(hierPoint(txn, key, mode))
+}
+
+// park queues am as a waiter on key: its acquire must block, and it
+// waits where the table says it blocked.
+func park(t *testing.T, lt *hierLockTable, key int64, am *actionMsg) {
+	t.Helper()
 	am.routeKey = key
-	am.wnLevel, am.wnID = wnKey, key
+	if lt.acquire(am) {
+		t.Fatalf("txn %d granted on key %d, expected to block", am.run.txn.ID, key)
+	}
 	lt.wait(am)
 }
 
 func TestLocalLockReadersShare(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(1, 10, xct.Read) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 1, 10, xct.Read) {
 		t.Fatal("first reader refused")
 	}
-	if !lt.tryAcquire(1, 11, xct.Read) {
+	if !grant(lt, 1, 11, xct.Read) {
 		t.Fatal("second reader refused")
 	}
-	if lt.tryAcquire(1, 12, xct.Write) {
+	if grant(lt, 1, 12, xct.Write) {
 		t.Fatal("writer admitted alongside readers")
 	}
 }
 
 func TestLocalLockWriterExcludes(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(1, 10, xct.Write) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 1, 10, xct.Write) {
 		t.Fatal("writer refused on free key")
 	}
-	if lt.tryAcquire(1, 11, xct.Read) || lt.tryAcquire(1, 11, xct.Write) {
+	if grant(lt, 1, 11, xct.Read) || grant(lt, 1, 11, xct.Write) {
 		t.Fatal("conflicting grant under writer")
 	}
 	// Same transaction re-acquires freely.
-	if !lt.tryAcquire(1, 10, xct.Read) || !lt.tryAcquire(1, 10, xct.Write) {
+	if !grant(lt, 1, 10, xct.Read) || !grant(lt, 1, 10, xct.Write) {
 		t.Fatal("same-txn re-acquire refused")
 	}
 }
 
 func TestLocalLockUpgrade(t *testing.T) {
-	lt := newFlatLockTable()
-	if !lt.tryAcquire(5, 20, xct.Read) {
+	lt := newHierLockTable(-1)
+	if !grant(lt, 5, 20, xct.Read) {
 		t.Fatal("reader refused")
 	}
 	// Sole holder upgrades.
-	if !lt.tryAcquire(5, 20, xct.Write) {
+	if !grant(lt, 5, 20, xct.Write) {
 		t.Fatal("sole-holder upgrade refused")
 	}
-	if lt.tryAcquire(5, 21, xct.Read) {
+	if grant(lt, 5, 21, xct.Read) {
 		t.Fatal("reader admitted under upgraded writer")
 	}
 	// Shared holders cannot upgrade.
-	lt2 := newFlatLockTable()
-	lt2.tryAcquire(7, 30, xct.Read)
-	lt2.tryAcquire(7, 31, xct.Read)
-	if lt2.tryAcquire(7, 30, xct.Write) {
+	lt2 := newHierLockTable(-1)
+	grant(lt2, 7, 30, xct.Read)
+	grant(lt2, 7, 31, xct.Read)
+	if grant(lt2, 7, 30, xct.Write) {
 		t.Fatal("upgrade granted with co-holders")
 	}
 }
 
 func TestLocalLockFIFOWaiters(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 1, 10, xct.Write)
 	w1 := mkMsg(11, xct.Write, false)
-	park(lt, 1, w1)
+	park(t, lt, 1, w1)
 	// A reader arriving later must not overtake the queued writer.
-	if lt.tryAcquire(1, 12, xct.Read) {
+	if grant(lt, 1, 12, xct.Read) {
 		t.Fatal("reader overtook queued writer")
 	}
 	w2 := mkMsg(12, xct.Read, false)
-	park(lt, 1, w2)
+	park(t, lt, 1, w2)
 	if lt.waiting != 2 {
 		t.Fatalf("waiting = %d", lt.waiting)
 	}
@@ -99,11 +107,11 @@ func TestLocalLockFIFOWaiters(t *testing.T) {
 }
 
 func TestLocalLockBatchedReaderGrant(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 1, 10, xct.Write)
 	r1, r2 := mkMsg(11, xct.Read, false), mkMsg(12, xct.Read, false)
-	park(lt, 1, r1)
-	park(lt, 1, r2)
+	park(t, lt, 1, r1)
+	park(t, lt, 1, r2)
 	runnable := lt.release(10)
 	if len(runnable) != 2 {
 		t.Fatalf("released %d readers, want both", len(runnable))
@@ -111,12 +119,12 @@ func TestLocalLockBatchedReaderGrant(t *testing.T) {
 }
 
 func TestLocalLockReleaseDropsWaitingClaims(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(1, 10, xct.Write)
+	lt := newHierLockTable(-1)
+	grant(lt, 1, 10, xct.Write)
 	cl := mkMsg(11, xct.Write, true)
-	park(lt, 1, cl)
+	park(t, lt, 1, cl)
 	// Txn 11 aborts elsewhere; its release must purge the parked claim
-	// even though it holds nothing.
+	// (and the intents its blocked acquire left behind).
 	_ = lt.release(11)
 	if lt.waiting != 0 {
 		t.Fatalf("claim leaked: waiting = %d", lt.waiting)
@@ -131,23 +139,26 @@ func TestLocalLockReleaseDropsWaitingClaims(t *testing.T) {
 }
 
 func TestLocalLockExtractAndAdopt(t *testing.T) {
-	lt := newFlatLockTable()
-	lt.tryAcquire(10, 1, xct.Write)
-	lt.tryAcquire(90, 2, xct.Write)
+	// Keys 10 and 90 share granule 0, so the split at 50 cuts through
+	// it: the key nodes divide at the cut and the parked waiter travels.
+	lt := newHierLockTable(-1)
+	grant(lt, 10, 1, xct.Write)
+	grant(lt, 90, 2, xct.Write)
 	w := mkMsg(3, xct.Write, false)
-	park(lt, 90, w)
+	park(t, lt, 90, w)
 	moved := lt.extractAbove(50)
-	if len(moved.keys) != 1 || moved.keys[90] == nil {
-		t.Fatalf("moved = %v", moved.keys)
+	mg := moved.granules[granuleOf(90)]
+	if mg == nil || len(mg.keys) != 1 || mg.keys[90] == nil {
+		t.Fatalf("moved = %+v", moved.granules)
 	}
 	if lt.waiting != 0 {
 		t.Fatalf("waiting after extract = %d", lt.waiting)
 	}
-	if _, ok := lt.entries[10]; !ok {
+	if g := lt.granules[granuleOf(10)]; g == nil || g.keys[10] == nil {
 		t.Fatal("low key lost in split")
 	}
 
-	dst := newFlatLockTable()
+	dst := newHierLockTable(-1)
 	runnable := dst.adopt(moved)
 	if len(runnable) != 0 {
 		t.Fatal("waiter granted while holder still present")

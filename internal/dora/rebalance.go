@@ -33,13 +33,11 @@ type PartitionStat struct {
 	Suspended   int64 `json:"suspended"`
 	OverlapExec int64 `json:"overlap_exec"`
 	HeldKeys    int64 `json:"held_keys"`
-	// Lock-hierarchy accounting (see LockStats for field meanings) and
-	// the OS-thread migrations observed at ticks (zero while pinned).
+	// Lock-hierarchy accounting (see LockStats for field meanings).
 	LockAcquisitions int64 `json:"lock_acquisitions"`
 	RangeLocks       int64 `json:"range_locks"`
 	Escalations      int64 `json:"escalations"`
 	Deescalations    int64 `json:"deescalations"`
-	ThreadSwitches   int64 `json:"thread_switches"`
 	// Ranges is the number of routing ranges assigned to this worker and
 	// Width their total value-space width.
 	Ranges int   `json:"ranges"`
@@ -73,7 +71,6 @@ func (e *Dora) PartitionStats() []PartitionStat {
 				RangeLocks:       p.RangeLocks.Load(),
 				Escalations:      p.Escalations.Load(),
 				Deescalations:    p.Deescalations.Load(),
-				ThreadSwitches:   p.ThreadSwitches.Load(),
 			}
 			if rt != nil {
 				for _, r := range rt.Ranges() {
@@ -109,8 +106,8 @@ type ShipStats struct {
 	// continuation-passing form during phase dispatch.
 	AsyncResolves int64 `json:"async_resolves"`
 	// CyclesDiagnosed / LastCycle report the debug-mode detector's
-	// non-fatal cycle diagnoses (continuation mode only; zero/"" when
-	// the detector is off or fail-fast).
+	// non-fatal cycle diagnoses of continuation hops (zero/"" when the
+	// detector is off).
 	CyclesDiagnosed int64  `json:"cycles_diagnosed,omitempty"`
 	LastCycle       string `json:"last_cycle,omitempty"`
 	// ShipRetries counts fail-back re-resolutions of shipped operations
@@ -168,9 +165,8 @@ func (e *Dora) ShipSnapshot() ShipStats {
 // LockStats aggregates the local lock tables' hierarchy accounting
 // across all live partitions plus retired history (monitor, E19).
 type LockStats struct {
-	// Acquisitions counts lock-table grant operations: per key in the
-	// flat tables, per hierarchy node in the hierarchical ones — the
-	// O(keys) vs O(1) range-scan signal.
+	// Acquisitions counts lock-table grant operations, one per
+	// hierarchy node touched — O(1) per range scan, not O(keys).
 	Acquisitions int64 `json:"acquisitions"`
 	// RangeLocks counts coarse (granule- or partition-level) S/X grants
 	// taken by ranged actions.
@@ -183,9 +179,6 @@ type LockStats struct {
 	// per-record KeyBusy checks vs one-intent RangeBusy checks.
 	KeyProbes   int64 `json:"key_probes"`
 	RangeProbes int64 `json:"range_probes"`
-	// ThreadSwitches counts worker OS-thread migrations observed at
-	// ticks (zero while pinned, the default).
-	ThreadSwitches int64 `json:"thread_switches"`
 }
 
 // retiredLockStats accumulates the lock accounting of tables that went
@@ -224,7 +217,6 @@ func (e *Dora) LockSnapshot() LockStats {
 			s.Deescalations += p.Deescalations.Load()
 			s.KeyProbes += p.MaintKeyProbes.Load()
 			s.RangeProbes += p.MaintRangeProbes.Load()
-			s.ThreadSwitches += p.ThreadSwitches.Load()
 		}
 	}
 	e.topoMu.RUnlock()
@@ -382,9 +374,7 @@ func (e *Dora) Repartition(table, field string, lo, hi int64) error {
 	// index declares a RouteRange for). Indexes not routable on it stay
 	// released on the shared latched path. claimAccessPaths filters by
 	// the table's current partition field, which is already `field`.
-	if !e.cfg.SharedAccessPath {
-		e.claimAccessPaths(tbl)
-	}
+	e.claimAccessPaths(tbl)
 	e.fireRebalance(table, RebalanceRepartition)
 	return nil
 }

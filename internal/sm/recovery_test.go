@@ -37,21 +37,33 @@ func (r *crashRig) crash(t *testing.T) *SM {
 }
 
 // TestRecoverAcrossLogManagers runs the workload under the legacy
-// single-mutex log, crashes, and recovers under the consolidation-array
-// log (and vice versa): the two managers share one on-disk format, so
-// recovery must be oblivious to which one produced the stream.
+// single-mutex log (wal.Log, passed in through Options.Log), crashes,
+// and recovers under the default consolidation-array log (and vice
+// versa): the two managers share one on-disk format, so recovery must
+// be oblivious to which one produced the stream.
 func TestRecoverAcrossLogManagers(t *testing.T) {
 	for _, dir := range []struct {
 		name              string
-		writer, recoverer bool // LegacyLog flags
+		writer, recoverer bool // true: legacy wal.Log
 	}{
 		{"legacy-to-clog", true, false},
 		{"clog-to-legacy", false, true},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			disk := buffer.NewMemDisk()
+			open := func(store wal.Store, legacy bool) (*SM, error) {
+				opt := Options{Frames: 64, Disk: disk, LogStore: store}
+				if legacy {
+					log, err := wal.New(store, nil)
+					if err != nil {
+						return nil, err
+					}
+					opt.Log = log
+				}
+				return Open(opt)
+			}
 			store := wal.NewMemStore()
-			s, err := Open(Options{Frames: 64, Disk: disk, LogStore: store, LegacyLog: dir.writer})
+			s, err := open(store, dir.writer)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +85,7 @@ func TestRecoverAcrossLogManagers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(Options{Frames: 64, Disk: disk, LogStore: store.CrashCopy(), LegacyLog: dir.recoverer})
+			s2, err := open(store.CrashCopy(), dir.recoverer)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,13 +109,14 @@ func TestOwnedDeleteAndForeignFallback(t *testing.T) {
 	}
 	other := btree.NewOwner()
 	cs.Reset()
+	h.OwnedWrites.Reset()
 	h.OwnedWritesLatched.Reset()
 	if err := h.UpdateOwnedWith(other, rid2, []byte("y"), func([]byte) uint64 { return 10 }); err != nil {
 		t.Fatal(err)
 	}
-	if cs.FrameLatchWrite.Load() != 1 || h.OwnedWritesLatched.Load() != 1 {
-		t.Fatalf("foreign-token write: frameWrite=%d ownedLatched=%d, want 1/1",
-			cs.FrameLatchWrite.Load(), h.OwnedWritesLatched.Load())
+	if cs.FrameLatchWrite.Load() != 1 || h.OwnedWrites.Load() != 1 || h.OwnedWritesLatched.Load() != 1 {
+		t.Fatalf("foreign-token write: frameWrite=%d owned=%d ownedLatched=%d, want 1/1/1",
+			cs.FrameLatchWrite.Load(), h.OwnedWrites.Load(), h.OwnedWritesLatched.Load())
 	}
 }
 
@@ -143,25 +144,6 @@ func TestMutateOwnedSinglePass(t *testing.T) {
 	}
 	if b, err := h.GetOwned(tok, rid); err != nil || string(b) != "v1+" {
 		t.Fatalf("read back: %q %v", b, err)
-	}
-}
-
-// TestLatchedOwnerWritesBaseline: the config baseline forces the old
-// exclusive-latch protocol and counts every owner write as latched.
-func TestLatchedOwnerWritesBaseline(t *testing.T) {
-	cs, _, h, tok, rid := ownedRig(t)
-	h.SetLatchedOwnerWrites(true)
-	cs.Reset()
-	h.OwnedWrites.Reset()
-	h.OwnedWritesLatched.Reset()
-	if err := h.UpdateOwnedWith(tok, rid, []byte("vx"), func([]byte) uint64 { return 12 }); err != nil {
-		t.Fatal(err)
-	}
-	if cs.FrameLatchWrite.Load() != 1 {
-		t.Fatalf("baseline update frame write latches = %d, want 1", cs.FrameLatchWrite.Load())
-	}
-	if h.OwnedWrites.Load() != 1 || h.OwnedWritesLatched.Load() != 1 {
-		t.Fatalf("counters: owned=%d latched=%d, want 1/1", h.OwnedWrites.Load(), h.OwnedWritesLatched.Load())
 	}
 }
 

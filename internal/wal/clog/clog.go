@@ -47,8 +47,10 @@ const (
 	// join CASes; every slot's group still reserves through one mutex, so
 	// LSN space stays contiguous.
 	numSlots = 4
-	// maxPending bounds bytes reserved but not yet hardened; leaders wait
-	// for the flush daemon past this (backpressure grows their groups).
+	// maxPending bounds bytes reserved but not yet hardened: no extent is
+	// reserved while pending is at or past it, so pending never exceeds
+	// maxPending by more than one group. Leaders wait for the flush daemon
+	// instead (backpressure grows their groups).
 	maxPending = 8 << 20
 	// flushEvery is the pending-byte level past which group completion
 	// wakes the flush daemon even with no force outstanding; below it the
@@ -224,20 +226,24 @@ func (l *Log) Append(rec *wal.Record) wal.LSN {
 	// Adaptive fast path: with the tail uncontended there is nothing to
 	// consolidate with — reserve a solo extent directly. Under contention
 	// the TryLock fails and appends consolidate instead, which is exactly
-	// when grouping pays.
-	if l.pending.Load() < maxPending && l.tailMu.TryLock() {
-		g := getGroup() // pooled groups are born closed: no one can join
-		l.reserveLocked(g, size)
-		if l.cs != nil {
-			l.cs.Log.Inc()
+	// when grouping pays. Under backpressure the append takes the group
+	// path, whose leader waits for room.
+	if l.tailMu.TryLock() {
+		if l.pending.Load() < maxPending {
+			g := getGroup() // pooled groups are born closed: no one can join
+			l.reserveLocked(g, size)
+			if l.cs != nil {
+				l.cs.Log.Inc()
+			}
+			g.extent(size)
+			reserved()
+			rec.LSN = g.base
+			wal.EncodeInto(g.buf[:size], rec)
+			l.finishCopy(g, size)
+			filled()
+			return rec.LSN
 		}
-		g.extent(size)
-		reserved()
-		rec.LSN = g.base
-		wal.EncodeInto(g.buf[:size], rec)
-		l.finishCopy(g, size)
-		filled()
-		return rec.LSN
+		l.tailMu.Unlock()
 	}
 	slot := &l.slots[rand.IntN(numSlots)]
 	for {
@@ -294,18 +300,30 @@ func join(g *group, size int64) (off int64, ok bool) {
 // group, reserve its LSN extent, and publish the base so members can fill
 // their regions in parallel. slot is nil when the group never made it
 // into the consolidation array.
+//
+// The room check that admits the reservation runs under the tail mutex,
+// after the wait: pending only grows under that mutex, so the group is
+// reserved against the pending level it was checked at. (A check before
+// the mutex alone is stale by the time the group closes — members that
+// joined meanwhile may already have reserved earlier records.)
 func (l *Log) lead(slot *atomic.Pointer[group], g *group) {
-	l.waitForRoom()
-	if l.cs != nil {
+	for {
+		l.waitForRoom()
 		if !l.tailMu.TryLock() {
-			l.cs.Contended.Inc()
+			if l.cs != nil {
+				l.cs.Contended.Inc()
+			}
 			l.tailMu.Lock()
 		}
+		if l.pending.Load() < maxPending {
+			break
+		}
+		l.tailMu.Unlock()
+	}
+	if l.cs != nil {
 		// One serialization-point entry per consolidated group — members
 		// that piggybacked never enter it; that is the point.
 		l.cs.Log.Inc()
-	} else {
-		l.tailMu.Lock()
 	}
 	if slot != nil {
 		// Detach before closing: once total goes negative, late joiners
@@ -321,13 +339,14 @@ func (l *Log) lead(slot *atomic.Pointer[group], g *group) {
 	}
 }
 
-// reserveLocked fixes g's extent at the current tail and queues it on the
-// flush FIFO — the whole serialized step. Called with tailMu held;
-// releases it.
+// reserveLocked fixes g's extent at the current tail, accounts it as
+// pending and queues it on the flush FIFO — the whole serialized step.
+// Called with tailMu held (after a room check); releases it.
 func (l *Log) reserveLocked(g *group, total int64) {
 	g.size = total
 	g.base = l.nextLSN
 	l.nextLSN += uint64(total)
+	l.pending.Add(total)
 	if l.tail == nil {
 		l.head = g
 	} else {
@@ -336,7 +355,6 @@ func (l *Log) reserveLocked(g *group, total int64) {
 	l.tail = g
 	l.tailMu.Unlock()
 	l.Groups.Inc()
-	l.pending.Add(total)
 }
 
 // awaitBase waits for the leader to publish the group's base LSN: a short
@@ -385,7 +403,8 @@ func (l *Log) kick() {
 
 // waitForRoom blocks while too many reserved bytes await hardening. Only
 // leaders wait here, before the tail mutex, so their groups keep
-// consolidating and the FIFO keeps draining.
+// consolidating and the FIFO keeps draining. The caller re-checks under
+// the mutex.
 func (l *Log) waitForRoom() {
 	if l.pending.Load() < maxPending {
 		return
